@@ -1,14 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-skyline bench-smoke bench-check bench-sweep bench-sweep-smoke cover fuzz fuzz-smoke lint lint-fast lint-eps e2e e2e-smoke experiments examples clean
-
-# The longitudinal benchmark history: every `make bench` / `make
-# bench-skyline` run appends its report here (with git SHA, cores,
-# workers, and latency quantiles), and `make bench-check` gates on the
-# trajectory — the latest run of each configuration vs the median of its
-# predecessors. See docs/OBSERVABILITY.md.
-TRAJECTORY := results/BENCH_trajectory.jsonl
-GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
+.PHONY: all build test race bench bench-smoke cover fuzz fuzz-smoke lint lint-fast e2e e2e-smoke experiments examples clean
 
 all: build lint test
 
@@ -37,78 +29,25 @@ lint-fast:
 	echo "lint-fast: $$dirs"; \
 	go vet $$dirs && go run ./cmd/mldcslint $$dirs
 
-# Deprecated alias: the grep-based scripts/lint-eps.sh became the
-# AST-aware epspolicy analyzer inside `make lint`.
-lint-eps:
-	@echo "make lint-eps is deprecated; running make lint (go vet + mldcslint)." >&2
-	@$(MAKE) lint
-
 test:
 	go test ./...
 
 race:
 	go test -race ./...
 
-# The engine report runs twice: once at the default worker count
-# (GOMAXPROCS — the multi-core configuration this machine actually
-# serves) and once pinned to one worker (the sequential baseline every
-# speedup is measured against). Both land in the trajectory; benchdiff
-# keys on the worker count, so each configuration is gated against its
-# own history. On a single-core machine the two runs share a key — the
-# gate then just sees two samples of the same configuration.
+# The go test microbenchmarks. The repo's end-to-end benchmark — engine
+# passes checked against the sequential oracle, kinetic ticks and the
+# mldcsd service, with per-layer timings — is `bash perfbench/run.sh`
+# (see perfbench/README.md and BENCHMARK.json).
 bench:
 	go test -bench=. -benchmem ./...
-	ENGINE_BENCH_OUT=$(CURDIR)/BENCH_engine.json go test -run=TestEngineBenchReport -count=1 ./internal/engine/
-	ENGINE_BENCH_OUT=$(CURDIR)/BENCH_engine_w1.json ENGINE_BENCH_WORKERS=1 go test -run=TestEngineBenchReport -count=1 ./internal/engine/
-	go run ./cmd/benchdiff -append -engine BENCH_engine.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
-	go run ./cmd/benchdiff -append -engine BENCH_engine_w1.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
-	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
-
-# Skyline kernel microbenchmarks + the machine-readable BENCH_skyline.json
-# report (ns/op, allocs/op, mean arc count per input size).
-bench-skyline:
-	go test -bench='^(BenchmarkCompute|BenchmarkComputeInto)$$' -benchmem ./internal/skyline/
-	SKYLINE_BENCH_OUT=$(CURDIR)/BENCH_skyline.json go test -run=TestSkylineBenchReport -count=1 -v ./internal/skyline/
-	go run ./cmd/benchdiff -append -skyline BENCH_skyline.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
-	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
-
-# Regression gate over the committed trajectory (no fresh timing, so it is
-# deterministic in CI): latest run of each configuration vs the median of
-# its predecessors.
-bench-check:
-	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
-
-# Contention-aware scaling sweep (cmd/mldcsbench): one in-process run per
-# (cores × workers × workload × contention) cell with tick latency
-# quantiles and worker-imbalance stats, appended to the trajectory and
-# gated per cell like every other benchmark source.
-bench-sweep:
-	go run ./cmd/mldcsbench -out $(CURDIR)/BENCH_sweep.json
-	go run ./cmd/benchdiff -append -sweep BENCH_sweep.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
-	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
-
-# CI budget: tiny matrix, short ticks, one repetition — exercises every
-# sweep cell shape (multi-core, multi-worker, uniform and contended) and
-# the benchdiff sweep gate without real timing cost.
-bench-sweep-smoke:
-	go run ./cmd/mldcsbench -out $(CURDIR)/results/bench_sweep_smoke.json \
-		-cores 1,2 -workers 1,2 -workloads uniform,zipf -contention 1.2 \
-		-nodes 800 -ticks 5 -benchtime 1x
-	go run ./cmd/benchdiff -append -sweep results/bench_sweep_smoke.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
-	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
 
 # CI smoke: every skyline, engine, and obs microbenchmark compiles and
-# runs once (-benchtime=1x; build + sanity, not timing), the allocation
-# regression tests hold under the race detector, and a small instrumented
-# engine run dumps its metrics (with latency quantiles) for the CI
-# artifact upload.
+# runs once (-benchtime=1x; build + sanity, not timing), and the
+# allocation regression tests hold under the race detector.
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x ./internal/skyline/ ./internal/engine/ ./internal/obs/
 	go test -race -run='Allocs' -count=1 ./internal/skyline/ ./internal/engine/
-	ENGINE_BENCH_OUT=$(CURDIR)/results/bench_smoke_metrics.json ENGINE_BENCH_N=2000 \
-		go test -run=TestEngineBenchReport -count=1 ./internal/engine/
-	ENGINE_BENCH_OUT=$(CURDIR)/results/bench_smoke_metrics_w1.json ENGINE_BENCH_N=2000 ENGINE_BENCH_WORKERS=1 \
-		go test -run=TestEngineBenchReport -count=1 ./internal/engine/
 
 cover:
 	go test -coverprofile=cover.out ./internal/... .

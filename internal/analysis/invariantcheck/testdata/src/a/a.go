@@ -11,8 +11,8 @@ func drops(disks []float64) skyline.Skyline {
 	return s
 }
 
-func dropsParallel(disks []float64) skyline.Skyline {
-	s, _ := skyline.ComputeParallel(disks, 4) // want `error from skyline\.ComputeParallel discarded`
+func dropsIncremental(disks []float64) skyline.Skyline {
+	s, _ := skyline.ComputeIncremental(disks) // want `error from skyline\.ComputeIncremental discarded`
 	return s
 }
 

@@ -14,7 +14,7 @@ func Compute(disks []float64) (Skyline, error) {
 	return Skyline{0}, nil
 }
 
-func ComputeParallel(disks []float64, workers int) (Skyline, error) {
+func ComputeIncremental(disks []float64) (Skyline, error) {
 	return Compute(disks)
 }
 

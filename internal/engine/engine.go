@@ -47,9 +47,9 @@ type Config struct {
 	CellSize float64
 	// DisableRepair turns off the kinetic repair fast path: every dirty
 	// node in Update recomputes its skyline from scratch, as the engine
-	// did before repair existed. For benchmarking (the BENCH_engine.json
-	// update section measures repair against exactly this baseline) and
-	// for bisecting a suspected repair bug in production.
+	// did before repair existed. For benchmarking (the no-repair case of
+	// BenchmarkEngineUpdateKinetic measures repair against exactly this
+	// baseline) and for bisecting a suspected repair bug in production.
 	DisableRepair bool
 }
 
@@ -85,16 +85,12 @@ type Stats struct {
 	Recomputed      int
 	RepairFallbacks int
 	// Per-worker load accounting for the pass's parallel section (see
-	// pool.go): the heaviest and mean per-worker share of work items (cell
-	// batches) and nodes, the number of chunks obtained by work-stealing,
-	// and the imbalance ratio WorkerMaxNodes / WorkerMeanNodes (1.0 =
-	// perfectly balanced, higher = skew; 0 when the pass ran no work).
-	// Exported as the engine_worker_imbalance gauge and recorded in the
-	// benchmark reports to diagnose contended (hotspot) workloads.
-	WorkerMaxCells  int
-	WorkerMeanCells float64
-	WorkerMaxNodes  int
-	WorkerMeanNodes float64
+	// pool.go): the imbalance ratio of the heaviest to the mean per-worker
+	// node count (1.0 = perfectly balanced, higher = skew; 0 when the pass
+	// ran no work), and the number of chunks obtained by work-stealing.
+	// Exported as the engine_worker_imbalance gauge and the steals
+	// counter, and read by perfbench to diagnose contended (hotspot)
+	// workloads.
 	WorkerImbalance float64
 	Steals          int
 }

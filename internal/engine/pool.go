@@ -40,10 +40,9 @@ const (
 	maxUpdateBatch = 128
 )
 
-// workerLoad books one worker's share of a pass: work items (cell batches)
-// and nodes processed, and chunks claimed from another worker's range.
+// workerLoad books one worker's share of a pass: nodes processed, and
+// chunks claimed from another worker's range.
 type workerLoad struct {
-	items  int
 	nodes  int
 	steals int
 }
@@ -94,7 +93,7 @@ func (e *Engine) scratchFor(w int) *scratch {
 // forEachTask runs fn(i, sc) for every task index in [0, n) on the
 // configured worker count, with chunked claiming and bounded work
 // stealing. Each worker owns one persistent scratch; fn must add the
-// nodes it processed to sc.load.nodes (the driver accounts items).
+// nodes it processed to sc.load.nodes.
 // Per-worker loads for the pass are left in e.lastLoads. Returns the
 // number of workers used.
 func (e *Engine) forEachTask(n int, fn func(i int, sc *scratch)) int {
@@ -115,7 +114,6 @@ func (e *Engine) forEachTask(n int, fn func(i int, sc *scratch)) int {
 		for i := 0; i < n; i++ {
 			fn(i, sc)
 		}
-		sc.load.items += n
 		e.cache.flush(sc)
 		e.collectLoads(1)
 		return 1
@@ -168,7 +166,6 @@ func runWorker(w int, queues []taskQueue, grain int64, fn func(i int, sc *scratc
 		for i := lo; i < hi; i++ {
 			fn(int(i), sc)
 		}
-		sc.load.items += int(hi - lo)
 	}
 	for {
 		best, bestRem := -1, int64(0)
@@ -191,7 +188,6 @@ func runWorker(w int, queues []taskQueue, grain int64, fn func(i int, sc *scratc
 		for i := lo; i < hi; i++ {
 			fn(int(i), sc)
 		}
-		sc.load.items += int(hi - lo)
 	}
 }
 
@@ -207,33 +203,24 @@ func (e *Engine) collectLoads(workers int) {
 }
 
 // recordLoads derives the pass's load-imbalance summary from the
-// per-worker books: max and mean work items (cell batches) and nodes per
-// worker, total stolen chunks, and the imbalance ratio max/mean nodes
-// (1.0 = perfectly balanced; the quantity the engine_worker_imbalance
-// gauge exports).
+// per-worker books: total stolen chunks, and the imbalance ratio of the
+// heaviest to the mean per-worker node count (1.0 = perfectly balanced;
+// the quantity the engine_worker_imbalance gauge exports).
 func (s *Stats) recordLoads(loads []workerLoad) {
 	if len(loads) == 0 {
 		return
 	}
-	var items, nodes, steals, maxItems, maxNodes int
+	var nodes, steals, maxNodes int
 	for _, l := range loads {
-		items += l.items
 		nodes += l.nodes
 		steals += l.steals
-		if l.items > maxItems {
-			maxItems = l.items
-		}
 		if l.nodes > maxNodes {
 			maxNodes = l.nodes
 		}
 	}
-	s.WorkerMaxCells = maxItems
-	s.WorkerMeanCells = float64(items) / float64(len(loads))
-	s.WorkerMaxNodes = maxNodes
-	s.WorkerMeanNodes = float64(nodes) / float64(len(loads))
 	s.Steals = steals
-	if s.WorkerMeanNodes > 0 {
-		s.WorkerImbalance = float64(maxNodes) / s.WorkerMeanNodes
+	if mean := float64(nodes) / float64(len(loads)); mean > 0 {
+		s.WorkerImbalance = float64(maxNodes) / mean
 	}
 }
 

@@ -5,7 +5,8 @@ import "math"
 // This file is the repository's single epsilon-comparison layer. Every
 // tolerance-bearing comparison outside package geom must go through one of
 // these predicates (or the angle predicates in angle.go) rather than
-// spelling out a raw `x <= y+Eps`; `make lint-eps` enforces this.
+// spelling out a raw `x <= y+Eps`; `make lint` enforces this (the
+// epspolicy analyzer).
 //
 // The policy, stated once (see docs/NUMERICS.md for the full discussion):
 //

@@ -103,24 +103,10 @@ func (r Result) NeighborCover() []int {
 // Solve computes the MLDCS of a local set with the paper's O(n log n)
 // divide-and-conquer skyline algorithm.
 func Solve(ls LocalSet) (Result, error) {
-	return solveWith(ls, skyline.Compute)
-}
-
-// SolveParallel is Solve with the skyline recursion spread over the given
-// number of workers (≤ 0 selects GOMAXPROCS). Only worthwhile for very
-// large neighborhoods.
-func SolveParallel(ls LocalSet, workers int) (Result, error) {
-	return solveWith(ls, func(d []geom.Disk) (skyline.Skyline, error) {
-		return skyline.ComputeParallel(d, workers)
-	})
-}
-
-func solveWith(ls LocalSet, compute func([]geom.Disk) (skyline.Skyline, error)) (Result, error) {
 	if err := ls.Validate(); err != nil {
 		return Result{}, err
 	}
-	disks := ls.All()
-	sl, err := compute(disks)
+	sl, err := skyline.Compute(ls.All())
 	if err != nil {
 		return Result{}, err
 	}

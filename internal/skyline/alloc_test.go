@@ -141,8 +141,8 @@ func TestMergeAmortizedAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(603))
 	disks := randomLocalSet(rng, 64)
-	sa := computeRange(disks, 0, 32, nil, 1)
-	sb := computeRange(disks, 32, 64, nil, 1)
+	sa := computeRange(disks, 0, 32)
+	sb := computeRange(disks, 32, 64)
 	for i := 0; i < 3; i++ {
 		Merge(disks, sa, sb)
 	}

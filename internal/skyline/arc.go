@@ -9,16 +9,14 @@
 // boundary exactly once (Corollary 2). The skyline is therefore the upper
 // envelope of the per-disk ray-distance functions ρ_i(θ) over θ ∈ [0, 2π).
 //
-// The package provides four interchangeable algorithms:
+// The package provides three interchangeable algorithms:
 //
 //   - Compute: the paper's divide-and-conquer algorithm, O(n log n).
 //   - ComputeIncremental: repeated single-disk merges in decreasing radius
 //     order, the insertion scheme behind Lemma 8; O(n²) worst case.
 //   - ComputeNaive: a global-breakpoint O(n² log n) reference oracle.
-//   - ComputeParallel: the divide-and-conquer algorithm with the top levels
-//     of the recursion fanned out across goroutines.
 //
-// All four produce the same envelope; the test suite cross-checks them.
+// All three produce the same envelope; the test suite cross-checks them.
 package skyline
 
 import (

@@ -1,11 +1,8 @@
 package skyline
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -72,95 +69,4 @@ func BenchmarkComputeInto(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkComputeParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	disks := randomLocalSet(rng, 8192)
-	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ComputeParallel(disks, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// skylineBenchEntry is one input-size row in BENCH_skyline.json.
-type skylineBenchEntry struct {
-	N                   int     `json:"n"`
-	MeanArcs            float64 `json:"mean_arcs"`
-	ComputeNsOp         int64   `json:"compute_ns_op"`
-	ComputeAllocsOp     int64   `json:"compute_allocs_op"`
-	ComputeIntoNsOp     int64   `json:"compute_into_ns_op"`
-	ComputeIntoAllocsOp int64   `json:"compute_into_allocs_op"`
-}
-
-// TestSkylineBenchReport writes the machine-readable skyline kernel
-// benchmark used by `make bench-skyline`: ns/op and allocs/op for the
-// pooled Compute and for the steady-state ComputeInto, plus the mean arc
-// count (the Lemma 8 quantity) per input size. Skipped unless
-// SKYLINE_BENCH_OUT names the output file.
-func TestSkylineBenchReport(t *testing.T) {
-	out := os.Getenv("SKYLINE_BENCH_OUT")
-	if out == "" {
-		t.Skip("set SKYLINE_BENCH_OUT=<path> to write the skyline benchmark report")
-	}
-	// num_cpu and gomaxprocs are recorded separately (the machine's core
-	// count vs the scheduler's parallelism cap) — see the engine bench
-	// report for the rationale.
-	report := struct {
-		NumCPU     int                 `json:"num_cpu"`
-		Gomaxprocs int                 `json:"gomaxprocs"`
-		Sizes      []skylineBenchEntry `json:"sizes"`
-	}{NumCPU: runtime.NumCPU(), Gomaxprocs: runtime.GOMAXPROCS(0)}
-	for _, n := range []int{16, 128, 1024} {
-		sets := benchSets(n)
-		arcs := 0
-		for _, disks := range sets {
-			sl, err := Compute(disks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arcs += sl.ArcCount()
-		}
-		rc := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Compute(sets[i%len(sets)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		var sc Scratch
-		var dst Skyline
-		ri := testing.Benchmark(func(b *testing.B) {
-			var err error
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if dst, err = sc.ComputeInto(dst, sets[i%len(sets)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		report.Sizes = append(report.Sizes, skylineBenchEntry{
-			N:                   n,
-			MeanArcs:            float64(arcs) / float64(len(sets)),
-			ComputeNsOp:         rc.NsPerOp(),
-			ComputeAllocsOp:     rc.AllocsPerOp(),
-			ComputeIntoNsOp:     ri.NsPerOp(),
-			ComputeIntoAllocsOp: ri.AllocsPerOp(),
-		})
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (num_cpu=%d, gomaxprocs=%d)", out, report.NumCPU, report.Gomaxprocs)
 }

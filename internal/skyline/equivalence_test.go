@@ -76,25 +76,6 @@ func TestIncrementalMatchesDNC(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	for _, n := range []int{1, 2, 17, 300, 1500} {
-		disks := randomLocalSet(rng, n)
-		seq, err := Compute(disks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 2, 8} {
-			par, err := ComputeParallel(disks, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameEnvelope(t, disks, seq, par, "parallel")
-			sameSet(t, seq.Set(), par.Set(), "parallel")
-		}
-	}
-}
-
 // Insertion order must not change the resulting envelope.
 func TestInsertionOrderInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
@@ -267,8 +248,8 @@ func TestMergeSymmetry(t *testing.T) {
 		n := 4 + rng.Intn(16)
 		disks := randomLocalSet(rng, n)
 		half := n / 2
-		sa := computeRange(disks, 0, half, nil, 1)
-		sb := computeRange(disks, half, n, nil, 1)
+		sa := computeRange(disks, 0, half)
+		sb := computeRange(disks, half, n)
 		ab := Merge(disks, sa, sb)
 		ba := Merge(disks, sb, sa)
 		sameEnvelope(t, disks, ab, ba, "merge-symmetry")

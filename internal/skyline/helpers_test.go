@@ -112,3 +112,11 @@ func sameSet(t *testing.T, got, want []int, label string) {
 		}
 	}
 }
+
+// computeRange computes the skyline of disks[lo:hi] into a fresh slice,
+// so tests can merge two halves of one set by hand.
+func computeRange(disks []geom.Disk, lo, hi int) Skyline {
+	sc := getScratch()
+	defer putScratch(sc)
+	return append(Skyline(nil), sc.compute(disks, lo, hi, nil)...)
+}

@@ -8,22 +8,19 @@ import (
 
 // Metric names exported by this package (see docs/OBSERVABILITY.md).
 const (
-	MetricComputeTotal       = "skyline_compute_total"
-	MetricComputeSeconds     = "skyline_compute_seconds"
-	MetricMergeTotal         = "skyline_merge_total"
-	MetricMergeCase0Total    = "skyline_merge_case0_total"
-	MetricMergeCase1Total    = "skyline_merge_case1_total"
-	MetricMergeCase2Total    = "skyline_merge_case2_total"
-	MetricBreakpointsTotal   = "skyline_merge_breakpoints_total"
-	MetricMaxArcs            = "skyline_max_arcs"
-	MetricMaxArcBound        = "skyline_max_arc_bound"
-	MetricArcBoundRatio      = "skyline_arc_bound_ratio"
-	MetricBoundViolations    = "skyline_arc_bound_violations_total"
-	MetricRecursionDepth     = "skyline_recursion_depth"
-	MetricArcsPerCompute     = "skyline_arcs_per_compute"
-	MetricParallelWorkers    = "skyline_parallel_workers"
-	MetricParallelSpawned    = "skyline_parallel_goroutines_total"
-	MetricParallelSequential = "skyline_parallel_sequential_total"
+	MetricComputeTotal     = "skyline_compute_total"
+	MetricComputeSeconds   = "skyline_compute_seconds"
+	MetricMergeTotal       = "skyline_merge_total"
+	MetricMergeCase0Total  = "skyline_merge_case0_total"
+	MetricMergeCase1Total  = "skyline_merge_case1_total"
+	MetricMergeCase2Total  = "skyline_merge_case2_total"
+	MetricBreakpointsTotal = "skyline_merge_breakpoints_total"
+	MetricMaxArcs          = "skyline_max_arcs"
+	MetricMaxArcBound      = "skyline_max_arc_bound"
+	MetricArcBoundRatio    = "skyline_arc_bound_ratio"
+	MetricBoundViolations  = "skyline_arc_bound_violations_total"
+	MetricRecursionDepth   = "skyline_recursion_depth"
+	MetricArcsPerCompute   = "skyline_arcs_per_compute"
 )
 
 // skyMetrics holds pre-resolved metric handles so the instrumented hot
@@ -50,10 +47,6 @@ type skyMetrics struct {
 	violations  *obs.Counter
 	depth       *obs.Gauge
 	arcs        *obs.Histogram
-	// ComputeParallel fan-out accounting.
-	parWorkers    *obs.Gauge
-	parSpawned    *obs.Counter
-	parSequential *obs.Counter
 }
 
 // skyInstr is the package's installed instrumentation; nil means disabled.
@@ -82,9 +75,6 @@ func Instrument(r *obs.Registry) {
 		violations:     r.Counter(MetricBoundViolations),
 		depth:          r.Gauge(MetricRecursionDepth),
 		arcs:           r.Histogram(MetricArcsPerCompute),
-		parWorkers:     r.Gauge(MetricParallelWorkers),
-		parSpawned:     r.Counter(MetricParallelSpawned),
-		parSequential:  r.Counter(MetricParallelSequential),
 	})
 }
 

@@ -18,8 +18,8 @@ import (
 // replaced: mergeSortOracle below is the pre-optimization implementation
 // (concatenate breakpoints, sort.Float64s, dedupe, prepend 0) kept
 // verbatim as a test oracle. The production path must stay byte-identical
-// to it — not just envelope-equivalent — so the golden, instrumentation,
-// and parallel-identity suites keep their exact expectations.
+// to it — not just envelope-equivalent — so the golden and
+// instrumentation suites keep their exact expectations.
 
 // mergeSortOracle is the old Step 1: collect both skylines' start angles,
 // sort, dedupe, anchor at 0, then resolve spans exactly like the
@@ -243,8 +243,8 @@ func TestPublicMergeMatchesSortOracle(t *testing.T) {
 		n := 2 + rng.Intn(40)
 		disks := randomLocalSet(rng, n)
 		half := 1 + rng.Intn(n-1)
-		sa := computeRange(disks, 0, half, nil, 1)
-		sb := computeRange(disks, half, n, nil, 1)
+		sa := computeRange(disks, 0, half)
+		sb := computeRange(disks, half, n)
 		requireSameSkyline(t, "merge", Merge(disks, sa, sb), mergeSortOracle(disks, sa, sb, true))
 
 		sc := getScratch()
