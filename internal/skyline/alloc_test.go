@@ -4,20 +4,26 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
 // Steady-state ComputeInto — a caller-held Scratch and a reused result
 // slice — must be allocation-free once the buffers are warm. This is the
 // contract the whole-network engine's per-node loop relies on; any future
-// per-merge garbage (the sort+dedupe step this PR removed allocated on
-// every merge) fails here immediately.
+// per-merge garbage (the old sort+dedupe step allocated on every merge)
+// fails here immediately. The dense 1024-disk set runs the prefilter with
+// most disks dropped, pinning its buffers too.
 func TestComputeIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	var sc Scratch
 	var dst Skyline
+	sets := [][]geom.Disk{denseLocalSet(rng, 1024)}
 	for _, n := range []int{3, 17, 64, 200} {
-		disks := randomLocalSet(rng, n)
+		sets = append(sets, randomLocalSet(rng, n))
+	}
+	for _, disks := range sets {
+		n := len(disks)
 		var err error
 		// Warm-up: grow the scratch and the destination to steady state.
 		for i := 0; i < 3; i++ {

@@ -1,7 +1,6 @@
 package skyline
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,11 +8,30 @@ import (
 	"repro/internal/obs"
 )
 
-func benchSets(n int) [][]geom.Disk {
+// benchCase is one input family of BenchmarkCompute and
+// BenchmarkComputeInto: 16 sets of n disks drawn by gen from a fixed seed.
+type benchCase struct {
+	name string
+	n    int
+	gen  func(*rand.Rand, int) []geom.Disk
+}
+
+// benchCases spans the kernel's regimes: the paper's r∈[1,2] sets up to
+// n = 4096, plus a dense hotspot-like neighbourhood (perfbench's
+// hotspot-dense local sets hold ~175 disks).
+var benchCases = []benchCase{
+	{"n=16", 16, randomLocalSet},
+	{"n=128", 128, randomLocalSet},
+	{"n=1024", 1024, randomLocalSet},
+	{"n=4096", 4096, randomLocalSet},
+	{"dense-n=175", 175, denseLocalSet},
+}
+
+func benchSets(c benchCase) [][]geom.Disk {
 	rng := rand.New(rand.NewSource(1))
 	sets := make([][]geom.Disk, 16)
 	for i := range sets {
-		sets[i] = randomLocalSet(rng, n)
+		sets[i] = c.gen(rng, c.n)
 	}
 	return sets
 }
@@ -22,9 +40,9 @@ func benchSets(n int) [][]geom.Disk {
 // fast path; BenchmarkComputeInstrumented is the same workload with a live
 // registry, quantifying the observability overhead.
 func BenchmarkCompute(b *testing.B) {
-	for _, n := range []int{16, 128, 1024} {
-		sets := benchSets(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, c := range benchCases {
+		sets := benchSets(c)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Compute(sets[i%len(sets)]); err != nil {
@@ -38,9 +56,9 @@ func BenchmarkCompute(b *testing.B) {
 func BenchmarkComputeInstrumented(b *testing.B) {
 	Instrument(obs.NewRegistry())
 	defer Instrument(nil)
-	for _, n := range []int{16, 128, 1024} {
-		sets := benchSets(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, c := range benchCases {
+		sets := benchSets(c)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Compute(sets[i%len(sets)]); err != nil {
@@ -55,9 +73,9 @@ func BenchmarkComputeInstrumented(b *testing.B) {
 // and a reused destination, as the engine's per-node loop runs it. The
 // allocs/op column must read 0.
 func BenchmarkComputeInto(b *testing.B) {
-	for _, n := range []int{16, 128, 1024} {
-		sets := benchSets(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, c := range benchCases {
+		sets := benchSets(c)
+		b.Run(c.name, func(b *testing.B) {
 			var sc Scratch
 			var dst Skyline
 			var err error

@@ -21,6 +21,7 @@ const (
 	MetricBoundViolations  = "skyline_arc_bound_violations_total"
 	MetricRecursionDepth   = "skyline_recursion_depth"
 	MetricArcsPerCompute   = "skyline_arcs_per_compute"
+	MetricPrefilterDropped = "skyline_prefilter_dropped_total"
 )
 
 // skyMetrics holds pre-resolved metric handles so the instrumented hot
@@ -47,6 +48,9 @@ type skyMetrics struct {
 	violations  *obs.Counter
 	depth       *obs.Gauge
 	arcs        *obs.Histogram
+	// dropped counts the disks the prefilter removed before the
+	// divide-and-conquer (see prefilter.go).
+	dropped *obs.Counter
 }
 
 // skyInstr is the package's installed instrumentation; nil means disabled.
@@ -75,6 +79,7 @@ func Instrument(r *obs.Registry) {
 		violations:     r.Counter(MetricBoundViolations),
 		depth:          r.Gauge(MetricRecursionDepth),
 		arcs:           r.Histogram(MetricArcsPerCompute),
+		dropped:        r.Counter(MetricPrefilterDropped),
 	})
 }
 

@@ -21,14 +21,16 @@ func withRegistry(t *testing.T) *obs.Registry {
 
 func TestInstrumentCountsCompute(t *testing.T) {
 	r := withRegistry(t)
-	rng := rand.New(rand.NewSource(42))
-	disks := randomLocalSet(rng, 64)
+	disks := ringDisks(64)
 	sl, err := Compute(disks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Counter(MetricComputeTotal).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricComputeTotal, got)
+	}
+	if got := r.Counter(MetricPrefilterDropped).Value(); got != 0 {
+		t.Fatalf("%s = %d on a ring set, want 0", MetricPrefilterDropped, got)
 	}
 	// 64 leaves → 63 internal merge nodes.
 	if got := r.Counter(MetricMergeTotal).Value(); got != 63 {
@@ -55,6 +57,24 @@ func TestInstrumentCountsCompute(t *testing.T) {
 	}
 	if got := r.Timer(MetricComputeSeconds).Count(); got != 1 {
 		t.Errorf("%s count = %d, want 1", MetricComputeSeconds, got)
+	}
+}
+
+// On a random r∈[1,2] set the prefilter drops most disks, and the D&C
+// merges exactly the survivors: n − dropped leaves, one merge fewer.
+func TestInstrumentCountsPrefilter(t *testing.T) {
+	r := withRegistry(t)
+	rng := rand.New(rand.NewSource(42))
+	disks := randomLocalSet(rng, 64)
+	if _, err := Compute(disks); err != nil {
+		t.Fatal(err)
+	}
+	dropped := r.Counter(MetricPrefilterDropped).Value()
+	if dropped <= 0 || dropped >= 64 {
+		t.Fatalf("%s = %d, want in (0, 64)", MetricPrefilterDropped, dropped)
+	}
+	if got, want := r.Counter(MetricMergeTotal).Value(), 64-dropped-1; got != want {
+		t.Errorf("%s = %d, want 64 − %d − 1 = %d", MetricMergeTotal, got, dropped, want)
 	}
 }
 
