@@ -1,6 +1,8 @@
 package skyline
 
 import (
+	"math"
+
 	"repro/internal/geom"
 )
 
@@ -24,6 +26,23 @@ func Compute(disks []geom.Disk) (Skyline, error) {
 	if err != nil {
 		return nil, err
 	}
+	out := make(Skyline, len(view))
+	copy(out, view)
+	return out, nil
+}
+
+// ComputeUnfiltered is Compute without the sector prefilter (see
+// prefilter.go): the paper's divide-and-conquer merging every disk. It
+// returns the same arcs as Compute, bit for bit. It is the prefilter's
+// test oracle, and the scaling experiment (E7) and the A1 ablation time it
+// because they measure the paper's algorithm.
+func ComputeUnfiltered(disks []geom.Disk) (Skyline, error) {
+	if err := checkLocal(disks); err != nil {
+		return nil, err
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	view := sc.compute(disks, 0, len(disks), false, nil)
 	out := make(Skyline, len(view))
 	copy(out, view)
 	return out, nil
@@ -198,6 +217,47 @@ func combineInPlace(s Skyline) Skyline {
 		out[w-1].End = geom.TwoPi
 	}
 	return out
+}
+
+// canonicalBoundaries rewrites each boundary between two disks' arcs as
+// the angle of the intersection point of circles p < q at which the
+// envelope passes from the left arc's disk to the right one's, so the
+// value depends on the two disks alone. The merge otherwise lets a third
+// disk decide it: a breakpoint inherited from an earlier merge absorbs a
+// crossing within geom.AngleEps of it (Step 1 keeps the smaller of two
+// such breakpoints, and resolveSpan cuts only strictly inside a span).
+// The canonical value is bit for bit the cut that crossingAngles(p, q)
+// yields in the merge that brings p and q together, whose left operand
+// holds the lower indices, so only absorbed boundaries move. A boundary
+// whose intersection angle differs by more than geom.AngleEps (the
+// hub-tangent zero-set edges, which depend on one disk only), or whose
+// move would leave a neighbouring arc a sliver, stays as it is.
+//
+//mldcs:hotpath
+func canonicalBoundaries(disks []geom.Disk, sl Skyline) {
+	for i := 1; i < len(sl); i++ {
+		p, q := sl[i-1].Disk, sl[i].Disk
+		if p == q {
+			continue
+		}
+		// geom.IntersectCircles(p, q) lists the point left of the line
+		// from p's centre to q's first. With the hub inside both disks,
+		// the envelope passes from p to q at the point right of it.
+		k := 1
+		if q < p {
+			p, q, k = q, p, 0
+		}
+		var pts [2]geom.Point
+		n, _ := geom.IntersectCircles(disks[p], disks[q], &pts)
+		if n == 0 {
+			continue
+		}
+		c, t := pts[min(k, n-1)].Angle(), sl[i].Start
+		if geom.AngleSliver(math.Min(c, t), math.Max(c, t)) &&
+			!geom.AngleSliver(sl[i-1].Start, c) && !geom.AngleSliver(c, sl[i].End) {
+			sl[i-1].End, sl[i].Start = c, c
+		}
+	}
 }
 
 // resolveSpan appends to out the skyline arcs of the span [a, b] on which

@@ -72,10 +72,20 @@ func mergeSortOracle(disks []geom.Disk, s1, s2 Skyline, coalesce bool) Skyline {
 
 // computeSortOracle is the old recursive divide-and-conquer built on
 // mergeSortOracle, with the same midpoint splits as the production code.
+// Like compute it ends with canonicalBoundaries, a pass over the finished
+// skyline that is no part of the merge this file pins.
 func computeSortOracle(disks []geom.Disk) (Skyline, error) {
 	if err := checkLocal(disks); err != nil {
 		return nil, err
 	}
+	sl := sortOracleRaw(disks)
+	canonicalBoundaries(disks, sl)
+	return sl, nil
+}
+
+// sortOracleRaw is computeSortOracle without the validation and the final
+// canonicalBoundaries pass.
+func sortOracleRaw(disks []geom.Disk) Skyline {
 	var rec func(lo, hi int) Skyline
 	rec = func(lo, hi int) Skyline {
 		if hi-lo == 1 {
@@ -84,7 +94,7 @@ func computeSortOracle(disks []geom.Disk) (Skyline, error) {
 		mid := lo + (hi-lo)/2
 		return mergeSortOracle(disks, rec(lo, mid), rec(mid, hi), true)
 	}
-	return rec(0, len(disks)), nil
+	return rec(0, len(disks))
 }
 
 // requireSameSkyline asserts byte identity (not just envelope equality).
