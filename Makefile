@@ -59,6 +59,7 @@ fuzz:
 	go test -fuzz=FuzzKineticRepair -fuzztime=60s ./internal/skyline/
 	go test -fuzz=FuzzSelectorInvariants -fuzztime=60s ./internal/forwarding/
 	go test -fuzz=FuzzEngineVsSequential -fuzztime=60s ./internal/engine/
+	go test -fuzz=FuzzEngineUpdateVsCompute -fuzztime=60s ./internal/engine/
 
 # Short fuzz pass over every target — the CI smoke step.
 fuzz-smoke:
@@ -67,6 +68,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzKineticRepair -fuzztime=10s ./internal/skyline/
 	go test -run='^$$' -fuzz=FuzzSelectorInvariants -fuzztime=10s ./internal/forwarding/
 	go test -run='^$$' -fuzz=FuzzEngineVsSequential -fuzztime=10s ./internal/engine/
+	go test -run='^$$' -fuzz=FuzzEngineUpdateVsCompute -fuzztime=10s ./internal/engine/
 
 # Chaos e2e harness for the mldcsd service: seeded action streams against
 # a live server, drained and checked byte-for-byte against the sequential

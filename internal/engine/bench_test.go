@@ -133,3 +133,25 @@ func BenchmarkEngineUpdateKinetic(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineUpdateHotspot measures one tick of the hotspot regime:
+// 1k nodes in 8 zipf-weighted clusters (contention 1.2, spread 0.6), 10
+// movers a tick drawn by HotspotWorkload.Step. Local sets hold ~185 disks
+// and a tick dirties ~700 nodes, nearly all repaired in place, so per-node
+// costs that grow with the neighborhood (O(k log k) and worse) show here
+// where BenchmarkEngineUpdateKinetic's ~11-disk sets hide them.
+func BenchmarkEngineUpdateHotspot(b *testing.B) {
+	w := hotspotWorkload(b, 1000, 1)
+	rng := rand.New(rand.NewSource(2))
+	e := New(Config{})
+	if _, err := e.Compute(w.Nodes()); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Step(10, rng)
+		if _, err := e.Update(w.Nodes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -372,13 +372,12 @@ type scratch struct {
 	l1 map[string]cacheEntry
 	// load books this worker's share of the current pass (pool.go).
 	load workerLoad
-	// Kinetic repair buffers (see kinetic.go): neighborhood diff lists,
-	// the sorted copy of the cached neighbor IDs the diff searches, and
-	// the skyline the repair surgery ping-pongs through.
+	// Kinetic repair buffers (see kinetic.go): the sorted candidate
+	// movers, the neighborhood diff lists, and the skyline the repair
+	// surgery ping-pongs through.
 	lost    []int
 	gained  []int
 	movedNb []int
-	oldIDs  []int
 	cands   []int
 	ksl     skyline.Skyline
 }

@@ -30,8 +30,12 @@ func TestEngineSingleAndIsolatedNodes(t *testing.T) {
 		{ID: 1, Pos: geom.Pt(10, 0), Radius: 1},
 		{ID: 2, Pos: geom.Pt(0, 10), Radius: 1},
 	}
-	for _, cache := range []bool{false, true} {
-		res, err := New(Config{Cache: cache}).Compute(nodes)
+	cases := []struct {
+		workers int
+		cache   bool
+	}{{1, false}, {1, true}, {2, true}}
+	for _, c := range cases {
+		res, err := New(Config{Workers: c.workers, Cache: c.cache}).Compute(nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,12 +47,20 @@ func TestEngineSingleAndIsolatedNodes(t *testing.T) {
 				t.Fatalf("isolated node %d must cover itself", u)
 			}
 		}
-		if cache {
+		if !c.cache {
+			continue
+		}
+		hits, misses := res.Stats.CacheHits, res.Stats.CacheMisses
+		if c.workers == 1 {
 			// Identical singleton neighborhoods: first is a miss, rest hit.
-			if res.Stats.CacheHits != 2 || res.Stats.CacheMisses != 1 {
-				t.Fatalf("cache stats = %d hits / %d misses, want 2/1",
-					res.Stats.CacheHits, res.Stats.CacheMisses)
+			if hits != 2 || misses != 1 {
+				t.Fatalf("cache stats = %d hits / %d misses, want 2/1", hits, misses)
 			}
+		} else if hits+misses != 3 || misses < 1 {
+			// Two workers can both miss the same key before either fills
+			// it, so only the total and the first miss are fixed.
+			t.Fatalf("workers=%d: cache stats = %d hits / %d misses, want 3 lookups with ≥ 1 miss",
+				c.workers, hits, misses)
 		}
 	}
 }

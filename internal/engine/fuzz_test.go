@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/geom"
@@ -94,6 +95,75 @@ func FuzzEngineVsSequential(f *testing.F) {
 						t.Fatalf("workers=%d cache=%v: node %d hubInCover = %v, want %v",
 							workers, cache, u, res.HubInCover[u], hubIn[u])
 					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzEngineUpdateVsCompute drives Update with node sets and move streams
+// decoded from the fuzz bytes and requires every tick to be
+// element-identical to a fresh Compute of the same nodes, for one and
+// three workers with the cache on and off. The first byte picks the node
+// count n (1..24); the next 6n bytes are nodes as in nodesFromBytes; every
+// following 4-byte group is one move: node index, x and y displacement in
+// [−0.5, 0.5), and a flag byte whose bit 0 ends the tick after this move
+// and whose bit 1 also redraws the node's radius in [1, 2]. Displacements
+// near zero keep a mover inside its neighbors' link ranges (the kinetic
+// repair path); larger ones cross link boundaries (gained and lost
+// neighbors).
+func FuzzEngineUpdateVsCompute(f *testing.F) {
+	f.Add([]byte{})
+	seed := []byte{11}
+	for i := 0; i < 6*12; i++ {
+		seed = append(seed, byte(i*53))
+	}
+	f.Add(append(append([]byte(nil), seed...),
+		0, 129, 127, 0, 3, 200, 60, 1, 7, 128, 131, 2, 5, 140, 100, 1, 0, 127, 128, 1))
+	// A co-located triple: identical neighborhoods feed the cache, and a
+	// mover leaving the stack splits them.
+	stack := append([]byte{2}, bytes.Repeat([]byte{0, 32, 0, 32, 0, 128}, 3)...)
+	stack = append(stack, 0, 64, 0, 128, 0, 0, 128, 131, 1, 2, 255, 128, 3)
+	f.Add(stack)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%24
+		data = data[1:]
+		k := min(6*n, len(data)/6*6)
+		nodes := nodesFromBytes(data[:k])
+		data = data[k:]
+		for _, workers := range []int{1, 3} {
+			for _, cache := range []bool{false, true} {
+				ecfg := Config{Workers: workers, Cache: cache}
+				cur := append([]network.Node(nil), nodes...)
+				e := New(ecfg)
+				if _, err := e.Compute(cur); err != nil {
+					t.Fatal(err)
+				}
+				tick := 0
+				for i := 0; i+4 <= len(data); i += 4 {
+					mv := data[i : i+4]
+					u := int(mv[0]) % len(cur)
+					cur[u].Pos.X += float64(int(mv[1])-128) / 256
+					cur[u].Pos.Y += float64(int(mv[2])-128) / 256
+					if mv[3]&2 != 0 {
+						cur[u].Radius = 1 + float64(mv[3])/255
+					}
+					if mv[3]&1 == 0 && i+8 <= len(data) {
+						continue
+					}
+					tick++
+					got, err := e.Update(cur)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := New(ecfg).Compute(cur)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameResult(t, fmt.Sprintf("tick %d workers=%d cache=%v", tick, workers, cache), got, want)
 				}
 			}
 		}

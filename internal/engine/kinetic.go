@@ -55,9 +55,15 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 	// predicate below is the grid gather's, bit for bit: VisitWithin
 	// filters its cell window with the same geom.LinkWithin2 call before
 	// the Reaches check.
+	//
+	// While st.valid holds, e.nbrs[u] is the sorted set of st.ids: compute
+	// writes both from one gather, a successful repair writes e.nbrs[u]
+	// from the same lost/gained diff that edits st.ids (the no-change path
+	// edits neither), and every other path clears st.valid. So the diff
+	// searches e.nbrs[u] directly instead of a sorted copy of st.ids.
+	// Published snapshots share that slice: read it, never write it.
 	hub := e.nodes[u]
-	sc.oldIDs = append(sc.oldIDs[:0], st.ids...)
-	sort.Ints(sc.oldIDs)
+	old := e.nbrs[u]
 	sc.cands = append(sc.cands[:0], e.updCand[u]...)
 	sort.Ints(sc.cands)
 	sc.lost, sc.gained, sc.movedNb = sc.lost[:0], sc.gained[:0], sc.movedNb[:0]
@@ -70,8 +76,8 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 		nc := e.nodes[c]
 		linked := geom.LinkWithin2(nc.Pos.Dist2(hub.Pos), hub.Radius) &&
 			geom.Reaches(nc.Pos, hub.Pos, nc.Radius)
-		i := sort.SearchInts(sc.oldIDs, c)
-		was := i < len(sc.oldIDs) && sc.oldIDs[i] == c
+		i := sort.SearchInts(old, c)
+		was := i < len(old) && old[i] == c
 		switch {
 		case linked && was:
 			sc.movedNb = append(sc.movedNb, c)
@@ -81,29 +87,10 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 			sc.lost = append(sc.lost, c)
 		}
 	}
-	// Rebuild the current neighbor list: oldIDs minus lost plus gained.
-	// All three are sorted, so one linear merge keeps sc.ids sorted —
-	// identical to what the grid gather plus sort produced.
-	sc.ids = sc.ids[:0]
-	gi, li := 0, 0
-	for _, v := range sc.oldIDs {
-		if li < len(sc.lost) && sc.lost[li] == v {
-			li++
-			continue
-		}
-		for gi < len(sc.gained) && sc.gained[gi] < v {
-			sc.ids = append(sc.ids, sc.gained[gi])
-			gi++
-		}
-		sc.ids = append(sc.ids, v)
-	}
-	sc.ids = append(sc.ids, sc.gained[gi:]...)
 	changes := len(sc.lost) + len(sc.gained) + len(sc.movedNb)
 	if changes == 0 {
-		// Dirty but unchanged: a neighbor moved without crossing any link
-		// boundary of u... which still changes u's local set only if the
-		// mover is a neighbor — and then it is in movedNb. Nothing to do.
-		e.nbrs[u] = keepInts(e.nbrs[u], sc.ids)
+		// Dirty but unchanged: a mover passed by without crossing any link
+		// boundary of u, so u's local set is bitwise the same.
 		e.repaired.Add(1)
 		return nil
 	}
@@ -186,7 +173,26 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 	// mapped through st.ids instead of the canonical tuples. The repair
 	// path never consults or feeds the cache — there is no fingerprint to
 	// key it by without re-canonicalizing, which is the cost being skipped.
-	e.nbrs[u] = keepInts(e.nbrs[u], sc.ids)
+	if len(sc.lost)+len(sc.gained) > 0 {
+		// The new neighbor list is old minus lost plus gained; all three
+		// are sorted, so one linear merge keeps it sorted — identical to
+		// what the grid gather plus sort produces.
+		sc.ids = sc.ids[:0]
+		gi, li := 0, 0
+		for _, v := range old {
+			if li < len(sc.lost) && sc.lost[li] == v {
+				li++
+				continue
+			}
+			for gi < len(sc.gained) && sc.gained[gi] < v {
+				sc.ids = append(sc.ids, sc.gained[gi])
+				gi++
+			}
+			sc.ids = append(sc.ids, v)
+		}
+		sc.ids = append(sc.ids, sc.gained[gi:]...)
+		e.nbrs[u] = keepInts(e.nbrs[u], sc.ids)
+	}
 	sc.cover = st.sl.AppendSet(sc.cover)
 	hubIn := false
 	sc.fwdBuf = sc.fwdBuf[:0]

@@ -2,10 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/deploy"
 	"repro/internal/geom"
+	"repro/internal/mobility"
 	"repro/internal/network"
 )
 
@@ -19,6 +23,28 @@ func smallMoveStep(rng *rand.Rand, cur []network.Node, count int, frac float64) 
 		cur[u].Pos.X += (rng.Float64()*2 - 1) * step
 		cur[u].Pos.Y += (rng.Float64()*2 - 1) * step
 	}
+}
+
+// hotspotWorkload is the dense regime of perfbench's hotspot-dense
+// workload: about n nodes at the paper's density, placed in 8
+// zipf-weighted clusters (contention 1.2, spread 0.6), with movers drawn
+// from the same skew. Local sets hold ~90 disks at n = 500 and ~185 at
+// n = 1000, against ~11 for benchDeployment.
+func hotspotWorkload(tb testing.TB, n int, seed int64) *mobility.HotspotWorkload {
+	tb.Helper()
+	dcfg := deploy.PaperConfig(deploy.Heterogeneous, 10)
+	dcfg.Side = math.Sqrt(float64(n) * math.Pi * dcfg.ExpectedMinRadiusSq() / dcfg.MeanDegree)
+	w, err := mobility.NewHotspotWorkload(mobility.HotspotConfig{
+		Deploy:     dcfg,
+		Hotspots:   8,
+		Contention: 1.2,
+		Spread:     0.6,
+		MoveFrac:   0.02,
+	}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
 }
 
 // requireSameResult asserts Update's snapshot is element-identical to a
@@ -45,42 +71,104 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 // the repair path must actually fire — a silent
 // everything-fell-back-to-recompute regression fails the Repaired check.
 func TestEngineUpdateRepairMatchesFresh(t *testing.T) {
-	nodes, _, err := benchDeployment(400, 13)
+	uniform, _, err := benchDeployment(400, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ecfg := range engineVariants() {
-		rng := rand.New(rand.NewSource(77))
-		e := New(ecfg)
-		if _, err := e.Compute(nodes); err != nil {
-			t.Fatal(err)
+	// The hotspot deployment's ~90-disk local sets reach what the ~11-disk
+	// uniform sets do not: long arc lists, many candidates per freed span,
+	// and movers that touch several arcs at once.
+	deployments := []struct {
+		name  string
+		nodes []network.Node
+	}{
+		{"uniform", uniform},
+		{"hotspot", hotspotWorkload(t, 500, 13).Nodes()},
+	}
+	for _, dep := range deployments {
+		for _, ecfg := range engineVariants() {
+			rng := rand.New(rand.NewSource(77))
+			e := New(ecfg)
+			if _, err := e.Compute(dep.nodes); err != nil {
+				t.Fatal(err)
+			}
+			cur := append([]network.Node(nil), dep.nodes...)
+			totalRepaired := 0
+			for step := 1; step <= 6; step++ {
+				smallMoveStep(rng, cur, 1+len(cur)/100, 0.02)
+				got, err := e.Update(cur)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				want, err := New(ecfg).Compute(cur)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				label := fmt.Sprintf("%s step %d workers=%d cache=%v", dep.name, step, ecfg.Workers, ecfg.Cache)
+				requireSameResult(t, label, got, want)
+				if got.Stats.Repaired+got.Stats.Recomputed != got.Stats.Dirty {
+					t.Fatalf("%s: repaired %d + recomputed %d != dirty %d",
+						label, got.Stats.Repaired, got.Stats.Recomputed, got.Stats.Dirty)
+				}
+				if got.Stats.RepairFallbacks > got.Stats.Recomputed {
+					t.Fatalf("%s: repair fallbacks %d exceed recomputes %d",
+						label, got.Stats.RepairFallbacks, got.Stats.Recomputed)
+				}
+				totalRepaired += got.Stats.Repaired
+			}
+			if !ecfg.Cache && totalRepaired == 0 {
+				t.Errorf("%s workers=%d cache=%v: repair path never fired under small-move mobility",
+					dep.name, ecfg.Workers, ecfg.Cache)
+			}
 		}
-		cur := append([]network.Node(nil), nodes...)
-		totalRepaired := 0
-		for step := 1; step <= 6; step++ {
-			smallMoveStep(rng, cur, 1+len(cur)/100, 0.02)
-			got, err := e.Update(cur)
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
+	}
+}
+
+// TestKineticIdsMatchNeighbors pins the invariant updateNode's diff rests
+// on: whenever a node's kinetic state is valid, its neighbor IDs, sorted,
+// are exactly the node's published neighbor list. The diff searches that
+// list instead of sorting a copy of the IDs, so a path that edits one
+// without the other would make later repairs diff against the wrong set.
+// Checked after a Compute and after each of 30 hotspot ticks, for one and
+// four workers, with the cache on and off.
+func TestKineticIdsMatchNeighbors(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, cache := range []bool{false, true} {
+			label := fmt.Sprintf("workers=%d cache=%v", workers, cache)
+			w := hotspotWorkload(t, 500, 21)
+			rng := rand.New(rand.NewSource(22))
+			e := New(Config{Workers: workers, Cache: cache})
+			if _, err := e.Compute(w.Nodes()); err != nil {
+				t.Fatal(err)
 			}
-			want, err := New(ecfg).Compute(cur)
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
+			checked, repaired := 0, 0
+			var ids []int
+			for pass := 0; pass <= 30; pass++ {
+				if pass > 0 {
+					w.Step(5, rng)
+					res, err := e.Update(w.Nodes())
+					if err != nil {
+						t.Fatalf("%s pass %d: %v", label, pass, err)
+					}
+					repaired += res.Stats.Repaired
+				}
+				for u := range e.kin {
+					if !e.kin[u].valid {
+						continue
+					}
+					ids = append(ids[:0], e.kin[u].ids...)
+					slices.Sort(ids)
+					if !slices.Equal(ids, e.nbrs[u]) {
+						t.Fatalf("%s pass %d: node %d kinetic ids (sorted) = %v, neighbors = %v",
+							label, pass, u, ids, e.nbrs[u])
+					}
+					checked++
+				}
 			}
-			label := fmt.Sprintf("step %d workers=%d cache=%v", step, ecfg.Workers, ecfg.Cache)
-			requireSameResult(t, label, got, want)
-			if got.Stats.Repaired+got.Stats.Recomputed != got.Stats.Dirty {
-				t.Fatalf("%s: repaired %d + recomputed %d != dirty %d",
-					label, got.Stats.Repaired, got.Stats.Recomputed, got.Stats.Dirty)
+			if checked == 0 || repaired == 0 {
+				t.Fatalf("%s: checked %d valid states over %d repairs; the invariant was never exercised",
+					label, checked, repaired)
 			}
-			if got.Stats.RepairFallbacks > got.Stats.Recomputed {
-				t.Fatalf("%s: repair fallbacks %d exceed recomputes %d",
-					label, got.Stats.RepairFallbacks, got.Stats.Recomputed)
-			}
-			totalRepaired += got.Stats.Repaired
-		}
-		if !ecfg.Cache && totalRepaired == 0 {
-			t.Errorf("workers=%d cache=%v: repair path never fired under small-move mobility", ecfg.Workers, ecfg.Cache)
 		}
 	}
 }

@@ -11,8 +11,13 @@ const TwoPi = 2 * math.Pi
 // hub; 1e-9 rad is comfortably above that for the paper's workloads.
 const AngleEps = 1e-9
 
-// NormalizeAngle maps an angle to the canonical range [0, 2π).
+// NormalizeAngle maps an angle to the canonical range [0, 2π). An angle
+// already in range is returned as is, which is bit-identical to the
+// math.Mod path (fmod is exact) without paying for it.
 func NormalizeAngle(theta float64) float64 {
+	if theta >= 0 && theta < TwoPi {
+		return theta
+	}
 	theta = math.Mod(theta, TwoPi)
 	if theta < 0 {
 		theta += TwoPi

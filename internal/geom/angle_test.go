@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -96,5 +97,41 @@ func TestDegreesRadians(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// modNormalize is NormalizeAngle without its in-range shortcut: every
+// input goes through math.Mod.
+func modNormalize(theta float64) float64 {
+	theta = math.Mod(theta, TwoPi)
+	if theta < 0 {
+		theta += TwoPi
+	}
+	if theta >= TwoPi {
+		theta -= TwoPi
+	}
+	return theta
+}
+
+// TestNormalizeAngleMatchesMod: returning an in-range angle untouched is
+// bit-identical to the math.Mod path, on the range's edges, on special
+// values, on random angles and on random bit patterns.
+func TestNormalizeAngleMatchesMod(t *testing.T) {
+	in := []float64{
+		0, math.Copysign(0, -1), TwoPi, math.Nextafter(TwoPi, 0), math.Nextafter(TwoPi, 7),
+		-TwoPi, math.Nextafter(0, -1), -1e-300, math.SmallestNonzeroFloat64, math.Pi,
+		1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100_000; i++ {
+		in = append(in, (rng.Float64()*2-1)*8*math.Pi)
+	}
+	for i := 0; i < 10_000; i++ {
+		in = append(in, math.Float64frombits(rng.Uint64()))
+	}
+	for _, x := range in {
+		if got, want := NormalizeAngle(x), modNormalize(x); !sameBits(got, want) {
+			t.Fatalf("NormalizeAngle(%v) = %v, want the math.Mod path's %v", x, got, want)
+		}
 	}
 }

@@ -65,8 +65,28 @@ func (p Point) Eq(q Point) bool {
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6g, %.6g)", p.X, p.Y) }
 
-// Unit returns the unit vector at polar angle theta.
-func Unit(theta float64) Point { return Point{math.Cos(theta), math.Sin(theta)} }
+// Unit returns the unit vector at polar angle theta. math.Sincos shares
+// the argument reduction and polynomials of math.Sin and math.Cos, so the
+// result is bit-identical to (Cos(theta), Sin(theta)) wherever those have
+// no assembly implementation (every GOARCH but s390x), from one reduction.
+func Unit(theta float64) Point {
+	s, c := math.Sincos(theta)
+	return Point{c, s}
+}
+
+// Direction returns p/‖p‖ and ‖p‖, taking the norm as sqrt(Norm2) instead
+// of Hypot. Where p.Norm2() lies outside [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰] (zero, or near
+// underflow or overflow, where the squared form loses precision) it
+// returns Unit(p.Angle()) and p.Norm() instead. The direction may differ from Unit(p.Angle()) by a few
+// ulps, so use it only under a tolerance.
+func Direction(p Point) (Point, float64) {
+	n2 := p.Norm2()
+	if n2 >= 0x1p-1000 && n2 <= 0x1p1000 {
+		n := math.Sqrt(n2)
+		return Point{p.X / n, p.Y / n}, n
+	}
+	return Unit(p.Angle()), p.Norm()
+}
 
 // Midpoint returns the midpoint of p and q.
 func Midpoint(p, q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2} }

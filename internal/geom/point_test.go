@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -121,4 +122,60 @@ func clampCoord(x float64) float64 {
 		return 0
 	}
 	return math.Mod(x, 100)
+}
+
+// sameBits reports whether two floats are the same value bit for bit,
+// counting every NaN as the same.
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// TestUnitMatchesCosSin pins Unit, which uses math.Sincos, to
+// (math.Cos, math.Sin) bit for bit: on a million angles in [−8π, 8π],
+// on ±0 and every multiple of π/4 there, just below 2π, and past 2²⁹,
+// where Sin and Cos switch to Payne–Hanek reduction.
+func TestUnitMatchesCosSin(t *testing.T) {
+	angles := []float64{
+		0, math.Copysign(0, -1), math.Nextafter(TwoPi, 0), -math.Nextafter(TwoPi, 0),
+		1 << 29, math.Nextafter(1<<29, 0), 1<<29 + 0.5, 1 << 40, 1e15, 1e300, math.MaxFloat64,
+		-(1 << 29), -1e20, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for k := -32; k <= 32; k++ {
+		angles = append(angles, float64(k)*math.Pi/4)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		angles = append(angles, (rng.Float64()*2-1)*8*math.Pi)
+	}
+	for _, a := range angles {
+		u := Unit(a)
+		if !sameBits(u.X, math.Cos(a)) || !sameBits(u.Y, math.Sin(a)) {
+			t.Fatalf("Unit(%v) = (%v, %v), want (Cos, Sin) = (%v, %v)", a, u.X, u.Y, math.Cos(a), math.Sin(a))
+		}
+	}
+}
+
+// TestDirection: Direction(p) is p's direction and norm to within a few
+// ulps of Unit(p.Angle()) and p.Norm(), and exactly those where the
+// squared norm is zero, subnormal or overflows.
+func TestDirection(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 100_000; i++ {
+		p := Pt((rng.Float64()*2-1)*20, (rng.Float64()*2-1)*20)
+		e, n := Direction(p)
+		want := Unit(p.Angle())
+		if !almostEq(e.X, want.X, 1e-15) || !almostEq(e.Y, want.Y, 1e-15) ||
+			!almostEq(n, p.Norm(), 1e-15*(1+n)) {
+			t.Fatalf("Direction(%v) = %v, %v; want %v, %v", p, e, n, want, p.Norm())
+		}
+	}
+	for _, p := range []Point{{0, 0}, {1e-200, 3e-201}, {1e200, -1e200}, {math.MaxFloat64, 1}} {
+		e, n := Direction(p)
+		if want := Unit(p.Angle()); e != want || n != p.Norm() {
+			t.Errorf("Direction(%v) = %v, %v; want the Unit/Norm fallback %v, %v", p, e, n, want, p.Norm())
+		}
+	}
 }

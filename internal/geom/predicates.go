@@ -90,3 +90,88 @@ func AngleSliver(a, b float64) bool { return b-a <= AngleEps }
 // endpoints. It is the arc-membership predicate used by the runtime
 // invariant checks.
 func CoversAngle(x, start, end float64) bool { return AngleInSpan(x, start, end) }
+
+// The predicates below decide a comparison involving a norm ‖c‖ exactly as
+// the Hypot-based expression in their doc comment does, but first try to
+// settle it from c.Norm2() with no square root. The squared test only
+// answers when the norm lies outside a guard band of guardRel·scale around
+// the threshold, where scale bounds the magnitudes involved; the band is
+// seven orders of magnitude wider than the few ulps of rounding either form
+// accumulates, so the two forms cannot disagree there, and inside it the
+// exact expression decides. The kinetic repair prunes run these once per
+// candidate disk, so the saved Hypot calls add up.
+const guardRel = 1e-9
+
+// normBelow compares ‖c‖ (given as n2 = ‖c‖²) with t under the guard band
+// m: +1 when ‖c‖ < t − m, −1 when ‖c‖ > t + m, 0 when the band cannot
+// tell (or an operand is NaN). A bound outside [2⁻⁵⁰⁰, 2⁵⁰⁰] is not
+// squared, since its square could underflow or overflow.
+func normBelow(n2, t, m float64) int {
+	const tiny, huge = 0x1p-500, 0x1p500
+	if lo := t - m; lo > tiny && lo < huge && n2 < lo*lo {
+		return +1
+	}
+	hi := t + m
+	if hi < 0 || (hi > tiny && hi < huge && n2 > hi*hi) {
+		return -1
+	}
+	return 0
+}
+
+// NormLengthEq reports LengthEq(c.Norm(), r): whether ‖c‖ equals the
+// length r within Eps — for a disk B(c, r), whether its circle passes
+// through the origin (the hub-tangent case of the skyline).
+func NormLengthEq(c Point, r float64) bool {
+	n2 := c.Norm2()
+	m := guardRel * (1 + math.Abs(r))
+	if normBelow(n2, r-Eps, m) > 0 || normBelow(n2, r+Eps, m) < 0 {
+		return false
+	}
+	return LengthEq(c.Norm(), r)
+}
+
+// ReachBelow reports RhoCmp(d.C.Norm()+d.R, v) < 0: whether the disk's
+// largest ray distance from the origin, ‖C‖ + R, lies more than RhoEps
+// below v, so d can neither exceed nor tie an envelope whose values are
+// all at least v.
+func ReachBelow(d Disk, v float64) bool {
+	m := guardRel * (1 + math.Abs(v) + math.Abs(d.R))
+	if s := normBelow(d.C.Norm2(), v-RhoEps-d.R, m); s != 0 {
+		return s > 0
+	}
+	return RhoCmp(d.C.Norm()+d.R, v) < 0
+}
+
+// FloorAbove reports RhoCmp(v, d.R-d.C.Norm()) < 0: whether the disk's
+// smallest ray distance from the origin, R − ‖C‖, lies more than RhoEps
+// above v, so nothing that peaks at v can exceed or tie d anywhere.
+func FloorAbove(d Disk, v float64) bool {
+	m := guardRel * (1 + math.Abs(v) + math.Abs(d.R))
+	if s := normBelow(d.C.Norm2(), d.R-RhoEps-v, m); s != 0 {
+		return s > 0
+	}
+	return RhoCmp(v, d.R-d.C.Norm()) < 0
+}
+
+// AwayInSpan reports AngleInSpan(NormalizeAngle(c.Angle()+π), a, b): whether
+// the direction of −c lies in the linear span [a, b] within AngleEps. ea
+// and eb must be Unit(a) and Unit(b). For spans inside [0, 2π] and
+// narrower than π, the side of −c against ea and eb (two cross products)
+// settles every case where −c is more than about 1e-6 rad from both
+// endpoints — far beyond AngleEps plus the rounding of atan2 — and only
+// the rest pay for the atan2. (A span reaching past 0 or 2π is circular
+// to the cross products but not to the linear AngleInSpan.)
+func AwayInSpan(c Point, a, b float64, ea, eb Point) bool {
+	if a >= 0 && b <= TwoPi && b-a < math.Pi {
+		m := 1e-6 * (math.Abs(c.X) + math.Abs(c.Y))
+		// −c is left of ea (past a) and right of eb (before b).
+		sa, sb := -ea.Cross(c), eb.Cross(c)
+		if sa > m && sb > m {
+			return true
+		}
+		if sa < -m || sb < -m {
+			return false
+		}
+	}
+	return AngleInSpan(NormalizeAngle(c.Angle()+math.Pi), a, b)
+}

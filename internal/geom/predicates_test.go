@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -138,5 +139,115 @@ func TestRhoEpsEqualsEps(t *testing.T) {
 	}
 	if math.Abs(AngleEps-1e-9) > 0 {
 		t.Fatalf("AngleEps = %g, want 1e-9 (documented in docs/NUMERICS.md)", AngleEps)
+	}
+}
+
+// guardNorms returns norms at and around threshold t: exact, a few ulps
+// off, and offsets from 1e-15 to 1e-3 either side, plus a zero norm.
+func guardNorms(t float64) []float64 {
+	out := []float64{0, t, math.Nextafter(t, 0), math.Nextafter(t, math.Inf(1))}
+	for _, d := range []float64{1e-15, 1e-13, 1e-11, 1e-10, 1e-9, 2e-9, 1e-8, 1e-6, 1e-3} {
+		out = append(out, t+d, t-d, t*(1+d), t*(1-d))
+	}
+	var keep []float64
+	for _, n := range out {
+		if n >= 0 {
+			keep = append(keep, n)
+		}
+	}
+	return keep
+}
+
+// guardDisks yields disks whose center norms sit on and around the
+// threshold norm, in random directions, plus random local disks and
+// extreme magnitudes.
+func guardDisks(rng *rand.Rand, r float64, norms []float64) []Disk {
+	var out []Disk
+	for _, n := range norms {
+		e := Unit(rng.Float64() * TwoPi)
+		out = append(out, Disk{C: e.Scale(n), R: r}, Disk{C: Pt(n, 0), R: r}, Disk{C: Pt(0, -n), R: r})
+	}
+	return out
+}
+
+// TestNormGuardsMatchExact: NormLengthEq, ReachBelow and FloorAbove settle
+// clear cases from the squared norm; on random inputs and on inputs at
+// and around each predicate's threshold they must return exactly what the
+// Hypot expression they replace returns.
+func TestNormGuardsMatchExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	check := func(d Disk, v float64) {
+		t.Helper()
+		if got, want := NormLengthEq(d.C, d.R), LengthEq(d.C.Norm(), d.R); got != want {
+			t.Fatalf("NormLengthEq(%v, %v) = %v, want %v", d.C, d.R, got, want)
+		}
+		if got, want := ReachBelow(d, v), RhoCmp(d.C.Norm()+d.R, v) < 0; got != want {
+			t.Fatalf("ReachBelow(%v, %v) = %v, want %v", d, v, got, want)
+		}
+		if got, want := FloorAbove(d, v), RhoCmp(v, d.R-d.C.Norm()) < 0; got != want {
+			t.Fatalf("FloorAbove(%v, %v) = %v, want %v", d, v, got, want)
+		}
+	}
+	for i := 0; i < 2_000; i++ {
+		r := 0.5 + rng.Float64()*3
+		v := rng.Float64() * 8
+		check(randomLocalDisk(rng), v)
+		// At each predicate's threshold: ‖c‖ = r (NormLengthEq),
+		// ‖c‖ + r = v − RhoEps (ReachBelow), r − ‖c‖ = v + RhoEps
+		// (FloorAbove), and Eps either side of the first.
+		for _, thr := range []float64{r, r - Eps, r + Eps, v - RhoEps - r, r - RhoEps - v} {
+			for _, d := range guardDisks(rng, r, guardNorms(thr)) {
+				check(d, v)
+			}
+		}
+	}
+	for _, r := range []float64{1e-300, 1e-160, 1e-9, 1, 1e160, 1e300} {
+		for _, v := range []float64{0, -1, 1, 1e-300, 1e300, math.Inf(1), math.NaN()} {
+			for _, c := range []Point{{0, 0}, {r, 0}, {1e-170, 1e-170}, {1e200, 1e200}, {math.MaxFloat64, 0}, {math.NaN(), 0}} {
+				check(Disk{C: c, R: r}, v)
+			}
+		}
+	}
+}
+
+// TestAwayInSpanMatchesAngle: the cross-product test must agree with
+// AngleInSpan on the atan2 angle of −c for random centers and spans, and
+// for −c placed exactly on, and from 1e-12 to 1e-4 rad either side of,
+// each span endpoint — including spans that start at 0 or end at 2π.
+func TestAwayInSpanMatchesAngle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(c Point, a, b float64) {
+		t.Helper()
+		got := AwayInSpan(c, a, b, Unit(a), Unit(b))
+		if want := AngleInSpan(NormalizeAngle(c.Angle()+math.Pi), a, b); got != want {
+			t.Fatalf("AwayInSpan(%v, %v, %v) = %v, want %v", c, a, b, got, want)
+		}
+	}
+	offsets := []float64{0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-8, -1e-8, 1e-6, -1e-6, 2e-6, -2e-6, 1e-4, -1e-4}
+	for i := 0; i < 10_000; i++ {
+		a := rng.Float64() * TwoPi
+		b := a + rng.Float64()*(TwoPi-a)
+		switch i % 5 {
+		case 0:
+			a = 0
+		case 1:
+			b = TwoPi
+		case 2:
+			b = a + rng.Float64()*1e-3
+		case 3:
+			a, b = TwoPi-rng.Float64()*1e-3, TwoPi+rng.Float64()*1e-3 // past 2π: linear only
+		}
+		norm := math.Pow(10, rng.Float64()*6-3)
+		check(Unit(rng.Float64()*TwoPi).Scale(norm), a, b)
+		for _, end := range []float64{a, b} {
+			for _, off := range offsets {
+				// −c at angle end+off, so c at end+off+π.
+				check(Unit(end+off+math.Pi).Scale(norm), a, b)
+			}
+		}
+	}
+	for _, c := range []Point{{0, 0}, {1e-300, 0}, {0, -1e-300}, {1e300, 1e300}} {
+		check(c, 0, 1)
+		check(c, 1, 4)
 	}
 }

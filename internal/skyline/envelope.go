@@ -114,7 +114,7 @@ func winnerFlag(disks []geom.Disk, i, j int, theta float64, tie *bool) int {
 // (‖c‖ = r within tolerance): the degenerate family whose ρ vanishes on a
 // closed half-circle, making interval-long envelope ties possible.
 func hubTangent(d geom.Disk) bool {
-	return geom.LengthEq(d.C.Norm(), d.R)
+	return geom.NormLengthEq(d.C, d.R)
 }
 
 // crossingAngles returns candidate angles (measured at the origin, in
@@ -134,9 +134,10 @@ func crossingAngles(disks []geom.Disk, i, j int) (out [6]float64, n int) {
 	cnt, ok := geom.IntersectCircles(disks[i], disks[j], &buf)
 	if ok {
 		for _, p := range buf[:cnt] {
+			// The stored angle is atan2's; the check only needs the
+			// direction, which p/‖p‖ gives without a cos/sin round trip.
 			theta := p.Angle()
-			e := geom.Unit(theta)
-			dist := p.Norm()
+			e, dist := geom.Direction(p)
 			// Far-root consistency: the crossing of the ρ curves happens
 			// only where this intersection point is the *far* intersection
 			// of the ray with both circles. The tolerance is proportional
@@ -150,7 +151,7 @@ func crossingAngles(disks []geom.Disk, i, j int) (out [6]float64, n int) {
 		}
 	}
 	for _, d := range [2]geom.Disk{disks[i], disks[j]} {
-		if geom.LengthEq(d.C.Norm(), d.R) {
+		if hubTangent(d) {
 			a := d.C.Angle()
 			out[n] = geom.NormalizeAngle(a + math.Pi/2)
 			n++

@@ -128,7 +128,7 @@ func insertOneInto(dst Skyline, disks []geom.Disk, sl Skyline, ins int, im *skyM
 		// minimum. RhoCmp < 0 means the new disk tops out more than RhoEps
 		// below the owner's floor: no tie is possible, the outcome is
 		// forced, and skipping resolveSpan changes nothing.
-		if geom.RhoCmp(dmax, w.R-w.C.Norm()) < 0 ||
+		if geom.FloorAbove(w, dmax) ||
 			geom.RhoCmp(dmax, spanFloor(w, arc.Start, arc.End)) < 0 {
 			if im != nil {
 				im.case0.Inc()
@@ -152,13 +152,11 @@ func insertOneInto(dst Skyline, disks []geom.Disk, sl Skyline, ins int, im *skyM
 // directly away from it — so the span minimum is r − ‖c‖ when the span
 // contains the away angle and the smaller endpoint value otherwise.
 func spanFloor(d geom.Disk, a, b float64) float64 {
-	opp := geom.NormalizeAngle(d.C.Angle() + math.Pi)
-	if geom.AngleInSpan(opp, a, b) {
+	ea, eb := geom.Unit(a), geom.Unit(b)
+	if geom.AwayInSpan(d.C, a, b, ea, eb) {
 		return d.R - d.C.Norm()
 	}
-	ra := d.RayDistDir(geom.Unit(a))
-	rb := d.RayDistDir(geom.Unit(b))
-	return math.Min(ra, rb)
+	return math.Min(d.RayDistDir(ea), d.RayDistDir(eb))
 }
 
 // RemoveDiskInto excises disks[rm]'s arcs from sl and re-exposes the
@@ -238,7 +236,7 @@ func (sc *Scratch) MoveDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, mv i
 			continue
 		}
 		w := disks[arc.Disk]
-		if geom.RhoCmp(dmax, w.R-w.C.Norm()) < 0 ||
+		if geom.FloorAbove(w, dmax) ||
 			geom.RhoCmp(dmax, spanFloor(w, arc.Start, arc.End)) < 0 {
 			if im != nil {
 				im.case0.Inc()
@@ -291,7 +289,7 @@ func (sc *Scratch) resolveFreedSpan(out Skyline, disks []geom.Disk, rm int, a, b
 		if d == rm || d == best {
 			continue
 		}
-		if geom.RhoCmp(disks[d].C.Norm()+disks[d].R, floor) < 0 {
+		if geom.ReachBelow(disks[d], floor) {
 			continue
 		}
 		nxt = nxt[:0]
